@@ -3,7 +3,7 @@
 
 use sb_bench::timer::{BatchSize, Timer};
 use sb_nn::{models, Layer, Mode, Network};
-use sb_tensor::{im2col, Conv2dGeometry, Rng, Tensor};
+use sb_tensor::{col2im, im2col, Conv2dGeometry, Rng, Tensor};
 
 fn bench_matmul(c: &mut Timer) {
     let mut group = c.benchmark_group("matmul");
@@ -18,6 +18,36 @@ fn bench_matmul(c: &mut Timer) {
             bench.iter(|| std::hint::black_box(a.matmul_transposed(&b)))
         });
     }
+    group.finish();
+}
+
+/// The training products of CIFAR-VGG (width 8) `stage1.conv2` at batch
+/// 64: 16 384 output pixels, an 8 × 3 × 3 patch of 72 and 8 filters. The
+/// forward pass is `cols · Wᵀ`, the weight gradient `dyᵀ · cols`, the
+/// input gradient `dy · W` folded back by `col2im`.
+fn bench_vgg_training_shapes(c: &mut Timer) {
+    let geom = Conv2dGeometry::square(8, 16, 16, 3, 1, 1);
+    let (batch, filters) = (64, 8);
+    let rows = batch * geom.out_h() * geom.out_w();
+    let mut rng = Rng::seed_from(4);
+    let cols = Tensor::rand_normal(&[rows, geom.patch_len()], 0.0, 1.0, &mut rng);
+    let w = Tensor::rand_normal(&[filters, geom.patch_len()], 0.0, 1.0, &mut rng);
+    // Dense, as in the model: BatchNorm sits between the conv and its ReLU.
+    let dy = Tensor::rand_normal(&[rows, filters], 0.0, 1.0, &mut rng);
+    let mut group = c.benchmark_group("vgg-w8-b64-conv2");
+    group.bench_function("forward-16384x72-8x72T", |bench| {
+        bench.iter(|| std::hint::black_box(cols.matmul_transposed(&w)))
+    });
+    group.bench_function("dW-16384x8T-16384x72", |bench| {
+        bench.iter(|| std::hint::black_box(dy.transposed_matmul(&cols)))
+    });
+    group.bench_function("dX-16384x8-8x72", |bench| {
+        bench.iter(|| std::hint::black_box(dy.matmul(&w)))
+    });
+    let dcols = dy.matmul(&w);
+    group.bench_function("col2im-16384x72", |bench| {
+        bench.iter(|| std::hint::black_box(col2im(&dcols, batch, &geom)))
+    });
     group.finish();
 }
 
@@ -88,6 +118,7 @@ fn bench_model_forward(c: &mut Timer) {
 fn main() {
     let mut timer = Timer::new();
     bench_matmul(&mut timer);
+    bench_vgg_training_shapes(&mut timer);
     bench_im2col(&mut timer);
     bench_conv_forward_backward(&mut timer);
     bench_model_forward(&mut timer);

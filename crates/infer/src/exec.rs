@@ -14,7 +14,7 @@
 
 use crate::compile::CompiledModel;
 use crate::plan::{FeatureShape, Kernel, Planned, Step};
-use sb_tensor::{Conv2dGeometry, Tensor};
+use sb_tensor::{im2col_into, Tensor};
 use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
@@ -231,7 +231,14 @@ fn apply_step(
             sb_trace::add(sb_trace::CounterId::Flops, kernel.macs() * (b * spatial) as u64);
             sb_trace::add(sb_trace::CounterId::BytesMoved, kernel.param_bytes() as u64);
             let plen = geom.patch_len();
-            im2col_block(&cur[..b * geom.in_channels * geom.in_h * geom.in_w], b, geom, &mut patch[..b * spatial * plen]);
+            // The patch rows land in the preplanned scratch; `im2col_into`
+            // itself allocates only one sample's zero-bordered planes.
+            im2col_into(
+                &cur[..b * geom.in_channels * geom.in_h * geom.in_w],
+                b,
+                geom,
+                &mut patch[..b * spatial * plen],
+            );
             matmul_rows(
                 kernel,
                 bias,
@@ -310,47 +317,6 @@ fn matmul_rows(kernel: &Kernel, bias: &[f32], x: &[f32], in_d: usize, y: &mut [f
         Kernel::Bitmap(m) => {
             debug_assert_eq!(m.cols(), in_d, "bitmap kernel input width");
             m.matmul_rows(x, bias, y);
-        }
-    }
-}
-
-/// Unfolds `b` contiguous `[c, h, w]` samples into `[b·oh·ow, patch]`
-/// rows — the same element order as `sb_tensor::im2col`.
-fn im2col_block(x: &[f32], b: usize, geom: &Conv2dGeometry, patch: &mut [f32]) {
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let plen = geom.patch_len();
-    let stride = geom.stride;
-    let (pad_y, pad_x) = (geom.padding_h as isize, geom.padding_w as isize);
-    patch.fill(0.0);
-    let sample_block = oh * ow * plen;
-    for ni in 0..b {
-        let sample = &mut patch[ni * sample_block..(ni + 1) * sample_block];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (oy * ow + ox) * plen;
-                let base_y = (oy * stride) as isize - pad_y;
-                let base_x = (ox * stride) as isize - pad_x;
-                for ci in 0..c {
-                    let chan = (ni * c + ci) * h * w;
-                    for ky in 0..kh {
-                        let iy = base_y + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // stays zero (padding)
-                        }
-                        let src_row = chan + iy as usize * w;
-                        let dst = row + (ci * kh + ky) * kw;
-                        for kx in 0..kw {
-                            let ix = base_x + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            sample[dst + kx] = x[src_row + ix as usize];
-                        }
-                    }
-                }
-            }
         }
     }
 }

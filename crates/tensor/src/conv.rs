@@ -5,6 +5,14 @@
 //! `[N·H_out·W_out, C·KH·KW]` patch matrix (`im2col`), multiplied by the
 //! reshaped kernel, and the backward pass folds gradients back with
 //! `col2im`. This keeps the only nontrivial indexing logic in one place.
+//!
+//! Both copy one sample at a time into zero-bordered planes, so every
+//! window is a gather (or scatter-add) through one table of tap offsets,
+//! with no padding test per element. Output pixels are walked in
+//! `(oy, ox)` order: `im2col` is a pure copy, and `col2im` gives every
+//! image pixel its contributions in ascending `(oy, ox)` order, the order
+//! of the plain loop nest, so both are bit-identical to it at any thread
+//! count.
 
 use crate::tensor::Tensor;
 use sb_json::json_struct;
@@ -103,12 +111,62 @@ fn out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usi
     (padded - kernel) / stride + 1
 }
 
+/// One sample's channels copied into zero-bordered planes of
+/// `(H + 2·padding_h) × (W + 2·padding_w)`, with the plane offsets of a
+/// window's taps in patch order.
+///
+/// The window of output pixel `(oy, ox)` starts at plane offset
+/// `(oy·padded_w + ox)·stride`, and its patch row is one gather through
+/// `taps`: the border holds the padding as stored zeros, so no element
+/// needs a bounds test.
+struct Padded {
+    geom: Conv2dGeometry,
+    padded_h: usize,
+    padded_w: usize,
+    planes: Vec<f32>,
+    taps: Vec<usize>,
+}
+
+impl Padded {
+    fn new(geom: &Conv2dGeometry) -> Self {
+        let padded_h = geom.in_h + 2 * geom.padding_h;
+        let padded_w = geom.in_w + 2 * geom.padding_w;
+        let mut taps = Vec::with_capacity(geom.patch_len());
+        for ci in 0..geom.in_channels {
+            for ky in 0..geom.kernel_h {
+                let row = (ci * padded_h + ky) * padded_w;
+                taps.extend(row..row + geom.kernel_w);
+            }
+        }
+        Padded {
+            geom: *geom,
+            padded_h,
+            padded_w,
+            planes: vec![0.0; geom.in_channels * padded_h * padded_w],
+            taps,
+        }
+    }
+
+    /// Plane offset where output pixel `(oy, ox)`'s window starts.
+    fn origin(&self, oy: usize, ox: usize) -> usize {
+        (oy * self.padded_w + ox) * self.geom.stride
+    }
+
+    /// The interior (unpadded) part of row `iy` of channel `ci`.
+    fn row(&mut self, ci: usize, iy: usize) -> &mut [f32] {
+        let g = &self.geom;
+        let start = (ci * self.padded_h + iy + g.padding_h) * self.padded_w + g.padding_w;
+        &mut self.planes[start..start + g.in_w]
+    }
+}
+
 /// Unfolds a batched image tensor `[N, C, H, W]` into a patch matrix
 /// `[N·out_h·out_w, C·kh·kw]`.
 ///
 /// Row `(n·out_h + oy)·out_w + ox` holds the receptive field of output
 /// pixel `(oy, ox)` of sample `n`, channel-major. Out-of-bounds (padding)
-/// positions read as zero.
+/// positions read as zero. Parallel over sample groups, each unfolded by
+/// [`im2col_into`].
 ///
 /// # Panics
 ///
@@ -122,54 +180,71 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let patch = geom.patch_len();
     let mut out = vec![0.0f32; n * oh * ow * patch];
-    let data = input.data();
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let stride = geom.stride;
-    let (pad_y, pad_x) = (geom.padding_h as isize, geom.padding_w as isize);
-
     // Each sample's patch rows form one disjoint output block, so the
     // unfold parallelizes over sample groups; every element is written by
     // exactly one task, making the result worker-count independent.
     let sample_block = oh * ow * patch;
+    let image = c * h * w;
     let per = (32_768 / sample_block.max(1)).clamp(1, n.max(1));
-    sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
-        for (si, sample) in block.chunks_mut(sample_block).enumerate() {
-            let ni = chunk * per + si;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * patch;
-                    let base_y = (oy * stride) as isize - pad_y;
-                    let base_x = (ox * stride) as isize - pad_x;
-                    for ci in 0..c {
-                        let chan = (ni * c + ci) * h * w;
-                        for ky in 0..kh {
-                            let iy = base_y + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue; // row stays zero (padding)
-                            }
-                            let src_row = chan + iy as usize * w;
-                            let dst = row + (ci * kh + ky) * kw;
-                            for kx in 0..kw {
-                                let ix = base_x + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                sample[dst + kx] = data[src_row + ix as usize];
-                            }
-                        }
-                    }
+    if !out.is_empty() {
+        sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
+            let samples = block.len() / sample_block;
+            let x = &input.data()[chunk * per * image..][..samples * image];
+            im2col_into(x, samples, geom, block);
+        });
+    }
+    Tensor::from_vec(out, &[n * oh * ow, patch]).expect("shape computed above")
+}
+
+/// The serial core of [`im2col`]: unfolds `n` contiguous `[C, H, W]`
+/// images from `x` into the `[n·out_h·out_w, C·kh·kw]` patch rows `out`,
+/// in the same element order. Every element of `out` is written, padding
+/// positions with zero, so the buffer can be reused without clearing. The
+/// only allocation is one sample's zero-bordered planes and tap table.
+///
+/// # Panics
+///
+/// Panics if `x` or `out` is not exactly the size `n` and `geom` imply.
+pub fn im2col_into(x: &[f32], n: usize, geom: &Conv2dGeometry, out: &mut [f32]) {
+    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let patch = geom.patch_len();
+    assert_eq!(x.len(), n * c * h * w, "im2col_into input length mismatch");
+    assert_eq!(
+        out.len(),
+        n * oh * ow * patch,
+        "im2col_into output length mismatch"
+    );
+    if out.is_empty() {
+        return;
+    }
+    // Each sample is copied into the interior of zero-bordered planes, so
+    // every patch row is one gather with no padding test.
+    let mut padded = Padded::new(geom);
+    for (ni, sample) in out.chunks_exact_mut(oh * ow * patch).enumerate() {
+        for ci in 0..c {
+            for iy in 0..h {
+                let src = &x[((ni * c + ci) * h + iy) * w..][..w];
+                padded.row(ci, iy).copy_from_slice(src);
+            }
+        }
+        for (oy, rows) in sample.chunks_exact_mut(ow * patch).enumerate() {
+            for (ox, row) in rows.chunks_exact_mut(patch).enumerate() {
+                let window = &padded.planes[padded.origin(oy, ox)..];
+                for (d, &t) in row.iter_mut().zip(&padded.taps) {
+                    *d = window[t];
                 }
             }
         }
-    });
-    Tensor::from_vec(out, &[n * oh * ow, patch]).expect("shape computed above")
+    }
 }
 
 /// Folds a patch-matrix gradient `[N·out_h·out_w, C·kh·kw]` back into an
 /// image gradient `[N, C, H, W]`, accumulating overlapping contributions.
 ///
 /// This is the exact adjoint of [`im2col`]: positions that were read `k`
-/// times during unfolding receive the sum of their `k` gradient copies.
+/// times during unfolding receive the sum of their `k` gradient copies,
+/// added in ascending output-pixel `(oy, ox)` order.
 ///
 /// # Panics
 ///
@@ -185,41 +260,35 @@ pub fn col2im(cols: &Tensor, n: usize, geom: &Conv2dGeometry) -> Tensor {
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
     let mut out = vec![0.0f32; n * c * h * w];
     let data = cols.data();
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
-    let stride = geom.stride;
-    let (pad_y, pad_x) = (geom.padding_h as isize, geom.padding_w as isize);
 
     // Overlapping windows only collide *within* a sample, never across
-    // samples, so the fold parallelizes over sample groups; within each
-    // sample the accumulation order matches the sequential loop exactly.
+    // samples, so the fold parallelizes over sample groups. Within a
+    // sample, patch rows are added in (oy, ox) order into zero-bordered
+    // planes (the border takes the padding's discarded share), so every
+    // pixel takes its contributions in the sequential loop's order.
     let sample_block = c * h * w;
     let per = (32_768 / sample_block.max(1)).clamp(1, n.max(1));
+    if out.is_empty() {
+        return Tensor::from_vec(out, &[n, c, h, w]).expect("shape computed above");
+    }
     sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
+        let mut padded = Padded::new(geom);
         for (si, sample) in block.chunks_mut(sample_block).enumerate() {
-            let ni = chunk * per + si;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((ni * oh + oy) * ow + ox) * patch;
-                    let base_y = (oy * stride) as isize - pad_y;
-                    let base_x = (ox * stride) as isize - pad_x;
-                    for ci in 0..c {
-                        let chan = ci * h * w;
-                        for ky in 0..kh {
-                            let iy = base_y + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let dst_row = chan + iy as usize * w;
-                            let src = row + (ci * kh + ky) * kw;
-                            for kx in 0..kw {
-                                let ix = base_x + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                sample[dst_row + ix as usize] += data[src + kx];
-                            }
-                        }
+            let rows = &data[(chunk * per + si) * oh * ow * patch..][..oh * ow * patch];
+            padded.planes.fill(0.0);
+            for (oy, rows) in rows.chunks_exact(ow * patch).enumerate() {
+                for (ox, row) in rows.chunks_exact(patch).enumerate() {
+                    let origin = padded.origin(oy, ox);
+                    let window = &mut padded.planes[origin..];
+                    for (&t, &v) in padded.taps.iter().zip(row) {
+                        window[t] += v;
                     }
+                }
+            }
+            for ci in 0..c {
+                for iy in 0..h {
+                    let dst = &mut sample[(ci * h + iy) * w..][..w];
+                    dst.copy_from_slice(padded.row(ci, iy));
                 }
             }
         }

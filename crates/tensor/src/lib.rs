@@ -9,11 +9,13 @@
 //! `im2col`/`col2im` convolution lowering, reductions, and deterministic
 //! random initialization.
 //!
-//! The design goal is *auditability over peak speed*: every kernel is a
-//! straightforward loop nest that can be verified against the reference
-//! formula, because the experiments built on top (the ShrinkBench
-//! reproduction) care about correctness of gradients and pruning masks, not
-//! about GPU-class throughput.
+//! The design goal is *auditability over peak speed*: the experiments built
+//! on top (the ShrinkBench reproduction) care about correctness of
+//! gradients and pruning masks, not about GPU-class throughput. The matmul
+//! and im2col/col2im kernels are tiled and blocked for speed, but each one
+//! reproduces its plain loop nest bit for bit (same accumulation order,
+//! no fused multiply-add, same zero skips), and `tests/kernels_bitwise.rs`
+//! keeps those loop nests as references to check it.
 //!
 //! # Example
 //!
@@ -39,7 +41,7 @@ mod shape;
 mod sparse;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, im2col, im2col_into, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::Rng;
 pub use shape::Shape;

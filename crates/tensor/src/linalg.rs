@@ -1,23 +1,309 @@
 //! Matrix multiplication kernels.
 //!
-//! A cache-friendly `ikj` loop order with a transposed-operand variant; no
-//! unsafe, no SIMD intrinsics. These are the hot kernels for both linear
-//! layers and (via im2col) convolutions.
+//! Three products: `a · bᵀ` ([`Tensor::matmul_transposed`], the forward
+//! pass of linear and conv layers), `a · b` ([`Tensor::matmul`], their
+//! input gradient) and `aᵀ · b` ([`Tensor::transposed_matmul`], their
+//! weight gradient). The first and last keep a block of accumulators in
+//! registers across the whole shared dimension, reading the rhs from
+//! packed, zero-padded column panels. No unsafe code and no SIMD
+//! intrinsics: the fixed-size tile loops are what the compiler vectorizes.
 //!
-//! The kernels parallelize over **disjoint blocks of output rows** via
-//! `sb_runtime::for_each_chunk_mut`. Each output element is still
-//! accumulated by exactly one task in the exact `kk`-ascending order the
-//! sequential loop uses, so results are bit-identical for any
+//! - `a · bᵀ` adds every product, so it runs `MR × NR` tiles that read
+//!   `MR` lhs rows in place: each rhs load feeds `MR` rows.
+//! - `a · b` and `aᵀ · b` skip a product whose lhs factor is exactly zero.
+//!   ReLU gradients and pruned weights make these common, so both first
+//!   compress each output row's lhs factors to the nonzero ones: a zero
+//!   then costs nothing, not a masked multiply-add or a mispredicted
+//!   branch.
+//! - `aᵀ · b` has the long `N·H·W` axis as its shared dimension and a small
+//!   output. It runs `1 × W` row tiles over the nonzeros, walking that axis
+//!   in `KC`-deep chunks and running every output row over a chunk while
+//!   the chunk is in cache, so one pass over `b` serves all rows (not one
+//!   pass per row).
+//! - `a · b` has a short shared dimension (a conv's filter count), too
+//!   short to pay for a tile's set-up, so each output row takes one
+//!   vectorized pass per nonzero instead.
+//!
+//! # Bit-identity contract
+//!
+//! Every output element is the sum the plain triple loop computes, in the
+//! same order and with the same roundings:
+//!
+//! - the accumulator starts at `+0.0` and takes its products in ascending
+//!   `k` order;
+//! - every step is a separate multiply and add, never a fused
+//!   multiply-add;
+//! - `a · b` and `aᵀ · b` skip exactly the products whose lhs factor is
+//!   `== 0.0`; `a · bᵀ` skips none.
+//!
+//! Parallel tasks own disjoint blocks of the output, sized from the
+//! problem shape alone, and each element is accumulated start to finish
+//! by one task. Results are therefore bit-identical for any
 //! `SB_RUNTIME_THREADS`, including 1 (which runs the same blocks inline).
+//! `tests/kernels_bitwise.rs` keeps the plain loops as references and
+//! checks all of this bit for bit.
 
 use crate::tensor::Tensor;
+use std::ops::Range;
 
-/// Output rows per parallel task, targeting ~32k mul-adds per task so
-/// tiny matrices stay single-chunk (inline) and large ones split evenly.
-/// Depends only on the problem shape — never on the worker count — which
-/// is what keeps chunk boundaries (and thus results) deterministic.
+/// Output rows per `a · bᵀ` tile.
+const MR: usize = 4;
+/// Output columns per `a · bᵀ` tile.
+const NR: usize = 8;
+/// Output columns per `aᵀ · b` row tile: eight 4-lane accumulators, the
+/// register budget of the `MR × NR` tile.
+const W: usize = 32;
+/// Depth of one packed chunk of `aᵀ · b`.
+const KC: usize = 256;
+/// Target multiply-adds per parallel task.
+const TASK_WORK: usize = 1 << 17;
+
+/// Output rows per parallel task: about [`TASK_WORK`] multiply-adds in
+/// whole tiles, so tiny products stay single-chunk (inline) and large ones
+/// split evenly. Depends only on the problem shape — never on the worker
+/// count — which is what keeps chunk boundaries (and thus results)
+/// deterministic.
 fn rows_per_task(work_per_row: usize, m: usize) -> usize {
-    (32_768 / work_per_row.max(1)).clamp(1, m.max(1))
+    (TASK_WORK / work_per_row.max(1))
+        .next_multiple_of(MR)
+        .clamp(MR, m.next_multiple_of(MR))
+}
+
+/// A 2-D operand read through strides: element `(r, kk)` of the logical
+/// `[rows, k]` view is `data[r · row_stride + kk · k_stride]`, so one
+/// packing routine serves plain and transposed operands alike.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    k_stride: usize,
+}
+
+impl View<'_> {
+    /// Row `r` at depths `ks`, in depth order.
+    fn row(&self, r: usize, ks: Range<usize>) -> impl Iterator<Item = &f32> {
+        let start = r * self.row_stride + ks.start * self.k_stride;
+        self.data[start..]
+            .iter()
+            .step_by(self.k_stride)
+            .take(ks.len())
+    }
+
+    /// Packs rows `rows` at depths `ks` into the `P`-wide panel `dst`
+    /// (`dst[kk][r]`), zero-filling the lanes past `rows.len()` so every
+    /// panel is a full tile.
+    fn pack<const P: usize>(&self, rows: Range<usize>, ks: Range<usize>, dst: &mut [[f32; P]]) {
+        let width = rows.len();
+        let dst = &mut dst[..ks.len()];
+        if self.row_stride == 1 {
+            // Each depth's lanes are one contiguous run.
+            for (kk, lanes) in ks.zip(dst.iter_mut()) {
+                let run = &self.data[kk * self.k_stride + rows.start..][..width];
+                if width == P {
+                    lanes.copy_from_slice(run);
+                } else {
+                    *lanes = [0.0; P];
+                    lanes[..width].copy_from_slice(run);
+                }
+            }
+        } else {
+            for (r, row) in rows.enumerate() {
+                for (lanes, &v) in dst.iter_mut().zip(self.row(row, ks.clone())) {
+                    lanes[r] = v;
+                }
+            }
+            for lanes in dst.iter_mut() {
+                lanes[width..].fill(0.0);
+            }
+        }
+    }
+
+    /// Packs columns `0..n` of the `[n, k]` view at depths `ks` into
+    /// consecutive `P`-wide panels of `ks.len()` steps each.
+    fn pack_panels<const P: usize>(&self, n: usize, ks: Range<usize>, dst: &mut [[f32; P]]) {
+        for (jb, panel) in dst.chunks_exact_mut(ks.len()).enumerate() {
+            self.pack(jb * P..n.min((jb + 1) * P), ks.clone(), panel);
+        }
+    }
+
+    /// The nonzero entries of row `r` at depths `ks` as `(depth − ks.start,
+    /// value)` pairs in depth order, written to `nz` without a branch per
+    /// entry; returns how many there are.
+    fn nonzeros(&self, r: usize, ks: Range<usize>, nz: &mut [(u32, f32)]) -> usize {
+        let mut len = 0;
+        for (kk, &v) in self.row(r, ks).enumerate() {
+            nz[len] = (kk as u32, v);
+            len += usize::from(v != 0.0);
+        }
+        len
+    }
+}
+
+/// `acc += a · bpᵀ` over `MR` lhs rows and one `NR`-column packed panel
+/// of the same depth, in ascending depth order, one multiply and one add
+/// per step.
+#[inline(always)]
+fn tile(a: [&[f32]; MR], bp: &[[f32; NR]], acc: &mut [[f32; NR]; MR]) {
+    let a = a.map(|row| &row[..bp.len()]);
+    let mut c = *acc;
+    for (kk, b) in bp.iter().enumerate() {
+        for r in 0..MR {
+            let ar = a[r][kk];
+            for j in 0..NR {
+                c[r][j] += ar * b[j];
+            }
+        }
+    }
+    *acc = c;
+}
+
+/// `acc += a · panel[kk]` for each compressed lhs entry `(kk, a)`, in
+/// order: one output row's `W` columns over the nonzero lhs factors only.
+#[inline(always)]
+fn row_tile(nz: &[(u32, f32)], panel: &[[f32; W]], acc: &mut [f32; W]) {
+    let mut c = *acc;
+    for &(kk, a) in nz {
+        let b = &panel[kk as usize];
+        for j in 0..W {
+            c[j] += a * b[j];
+        }
+    }
+    *acc = c;
+}
+
+/// Writes the first `out.len()` lanes of a tile row: a fixed-size copy for
+/// a full row, so the common case compiles to plain vector stores rather
+/// than a `memcpy` call per row.
+#[inline(always)]
+fn store<const P: usize>(out: &mut [f32], lanes: &[f32; P]) {
+    match <&mut [f32; P]>::try_from(&mut *out) {
+        Ok(full) => *full = *lanes,
+        Err(_) => out.copy_from_slice(&lanes[..out.len()]),
+    }
+}
+
+/// `Σ_kk a[i, kk] · b(j, kk)` over every product into a new row-major
+/// `[m, n]` buffer, for the row-major `[m, k]` lhs `a` and the `[n, k]`
+/// view `b`, parallel over blocks of output rows. `b` is packed once; each
+/// tile reads its `MR` lhs rows in place (a short last tile repeats its
+/// last row and drops the copies) and runs every column panel over the
+/// full depth.
+fn product_rows(m: usize, n: usize, k: usize, a: &[f32], b: View) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if out.is_empty() || k == 0 {
+        return out;
+    }
+    let mut bp = vec![[0.0f32; NR]; n.div_ceil(NR) * k];
+    b.pack_panels(n, 0..k, &mut bp);
+    let panels: Vec<&[[f32; NR]]> = bp.chunks_exact(k).collect();
+    let rows_per = rows_per_task(k * n, m);
+    sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
+        let row0 = ci * rows_per;
+        let rows = block.len() / n;
+        for i in (0..rows).step_by(MR) {
+            let lhs: [&[f32]; MR] =
+                std::array::from_fn(|r| &a[(row0 + (i + r).min(rows - 1)) * k..][..k]);
+            for (jb, panel) in panels.iter().enumerate() {
+                let mut acc = [[0.0f32; NR]; MR];
+                tile(lhs, panel, &mut acc);
+                let j0 = jb * NR;
+                let nr = NR.min(n - j0);
+                for (r, lanes) in acc[..MR.min(rows - i)].iter().enumerate() {
+                    store(&mut block[(i + r) * n + j0..][..nr], lanes);
+                }
+            }
+        }
+    });
+    out
+}
+
+/// `Σ_kk a(i, kk) · b[kk, j]` over the nonzero lhs factors only, into a
+/// new row-major `[m, n]` buffer, for the `[m, k]` view `a` and the
+/// row-major `[k, n]` rhs `b`, parallel over blocks of output rows. Each
+/// lhs row is compressed to its nonzeros first, so a zero costs neither
+/// work nor a mispredicted branch; the output row then takes one
+/// vectorized pass per nonzero. At the small `k` of a conv input gradient
+/// (its filter count) this measured faster than register tiles, whose
+/// per-panel set-up a short `k` never pays back.
+fn skip_rows(m: usize, n: usize, k: usize, a: View, b: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if out.is_empty() || k == 0 {
+        return out;
+    }
+    let rows_per = rows_per_task(k * n, m);
+    sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
+        let mut nz = vec![(0u32, 0.0f32); k];
+        for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
+            let len = a.nonzeros(ci * rows_per + r, 0..k, &mut nz);
+            for &(kk, av) in &nz[..len] {
+                let b_row = &b[kk as usize * n..][..n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+    });
+    out
+}
+
+/// `Σ_kk a(kk, i) · b[kk, j]` over the nonzero lhs factors only, for a
+/// long shared dimension and a small output: the shape of a weight
+/// gradient. The lhs nonzeros are compressed once per output row and
+/// [`KC`]-deep chunk of `k`. Tasks own blocks of `W`-wide output
+/// *column* panels and walk `k` chunk by chunk: each chunk of `b` is packed
+/// once and then every output row runs its nonzeros over it, carrying its
+/// partial sums to the next chunk.
+fn skip_cols(m: usize, n: usize, k: usize, a: View, b: View) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if out.is_empty() || k == 0 {
+        return out;
+    }
+    let chunks: Vec<Range<usize>> = (0..k).step_by(KC).map(|k0| k0..k.min(k0 + KC)).collect();
+    // Row `i`'s nonzeros in chunk `c` are `nz[ends[c·m + i − 1]..ends[c·m + i]]`.
+    let mut nz = vec![(0u32, 0.0f32); k * m];
+    let mut ends = Vec::with_capacity(chunks.len() * m);
+    let mut len = 0;
+    for ks in &chunks {
+        for i in 0..m {
+            len += a.nonzeros(i, ks.clone(), &mut nz[len..]);
+            ends.push(len);
+        }
+    }
+    let nb = n.div_ceil(W);
+    let blocks_per = (TASK_WORK / (k * m * W)).clamp(1, nb);
+    let strips = sb_runtime::map_chunks(nb, blocks_per, |jbs| {
+        let cols = jbs.start * W..n.min(jbs.end * W);
+        let b = View {
+            data: &b.data[cols.start * b.row_stride..],
+            ..b
+        };
+        let mut acc = vec![[0.0f32; W]; m * jbs.len()];
+        let mut bp = vec![[0.0f32; W]; jbs.len() * KC];
+        let mut start = 0;
+        for (ks, ends) in chunks.iter().zip(ends.chunks_exact(m)) {
+            let kc = ks.len();
+            let bp = &mut bp[..jbs.len() * kc];
+            b.pack_panels(cols.len(), ks.clone(), bp);
+            // Each panel stays in L1 while every output row runs over it.
+            for (t, panel) in bp.chunks_exact(kc).enumerate() {
+                let mut lo = start;
+                for (i, &hi) in ends.iter().enumerate() {
+                    row_tile(&nz[lo..hi], panel, &mut acc[i * jbs.len() + t]);
+                    lo = hi;
+                }
+            }
+            start = ends[m - 1];
+        }
+        (cols, acc)
+    });
+    for (cols, acc) in strips {
+        for (out_row, row) in out.chunks_exact_mut(n).zip(acc.chunks_exact(acc.len() / m)) {
+            for (o, &v) in out_row[cols.clone()].iter_mut().zip(row.iter().flatten()) {
+                *o = v;
+            }
+        }
+    }
+    out
 }
 
 impl Tensor {
@@ -37,35 +323,20 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        let rows_per = rows_per_task(k * n, m);
-        // ikj order: the innermost loop walks both `b` and `out` rows
-        // contiguously, which is what keeps this usable on CPU.
-        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-            let row0 = ci * rows_per;
-            for (r, out_row) in block.chunks_mut(n).enumerate() {
-                let i = row0 + r;
-                for kk in 0..k {
-                    let aik = a[i * k + kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        });
+        let a = View {
+            data: self.data(),
+            row_stride: k,
+            k_stride: 1,
+        };
+        let out = skip_rows(m, n, k, a, rhs.data());
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 
     /// `self × rhsᵀ` for 2-D tensors: `[m, k] × ([n, k])ᵀ → [m, n]`.
     ///
     /// Equivalent to `self.matmul(&rhs.transpose2())` without materializing
-    /// the transpose; used by backward passes.
+    /// the transpose, except that it adds every product (no zero skip); the
+    /// forward pass of linear and conv layers.
     ///
     /// # Panics
     ///
@@ -81,24 +352,12 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        let rows_per = rows_per_task(k * n, m);
-        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-            let row0 = ci * rows_per;
-            for (r, out_row) in block.chunks_mut(n).enumerate() {
-                let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in a_row.iter().zip(b_row) {
-                        acc += av * bv;
-                    }
-                    *o = acc;
-                }
-            }
-        });
+        let b = View {
+            data: rhs.data(),
+            row_stride: k,
+            k_stride: 1,
+        };
+        let out = product_rows(m, n, k, self.data(), b);
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 
@@ -121,28 +380,17 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let mut out = vec![0.0f32; m * n];
-        let a = self.data();
-        let b = rhs.data();
-        let rows_per = rows_per_task(k * n, m);
-        // Each task owns a block of output rows and walks `kk` ascending,
-        // reading `a` column-wise — the same per-element accumulation
-        // order as the sequential kk-outer loop, restricted to its rows.
-        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-            let row0 = ci * rows_per;
-            for kk in 0..k {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (r, out_row) in block.chunks_mut(n).enumerate() {
-                    let av = a[kk * m + row0 + r];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        });
+        let a = View {
+            data: self.data(),
+            row_stride: 1,
+            k_stride: m,
+        };
+        let b = View {
+            data: rhs.data(),
+            row_stride: 1,
+            k_stride: n,
+        };
+        let out = skip_cols(m, n, k, a, b);
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 
@@ -220,6 +468,24 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn matmul_zero_width_output_is_empty() {
+        let out = Tensor::ones(&[3, 4]).matmul(&Tensor::zeros(&[4, 0]));
+        assert_eq!(out.dims(), &[3, 0]);
+    }
+
+    #[test]
+    fn matmul_transposed_zero_width_output_is_empty() {
+        let out = Tensor::ones(&[3, 4]).matmul_transposed(&Tensor::zeros(&[0, 4]));
+        assert_eq!(out.dims(), &[3, 0]);
+    }
+
+    #[test]
+    fn transposed_matmul_zero_width_output_is_empty() {
+        let out = Tensor::ones(&[4, 3]).transposed_matmul(&Tensor::zeros(&[4, 0]));
+        assert_eq!(out.dims(), &[3, 0]);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use shrinkbench::experiment::{
     DatasetKind, ExperimentConfig, ExperimentRunner, ModelKind, PretrainConfig,
 };
 use shrinkbench::{
-    prune_and_finetune, FinetuneConfig, GlobalMagnitude, LayerMagnitude, StrategyKind,
+    prune_and_finetune, FinetuneConfig, GlobalMagnitude, LayerMagnitude, OptimizerKind,
+    StrategyKind,
 };
 
 fn tiny_dataset() -> SyntheticVision {
@@ -290,5 +291,79 @@ fn metrics_json_is_bit_identical_across_thread_counts() {
     assert_eq!(
         sequential, parallel,
         "worker count must not change serialized grid metrics"
+    );
+}
+
+/// FNV-1a 64-bit over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// The bit-identity pin for every training kernel: a fixed-seed CIFAR-VGG
+/// (width 8) pretrain of 2 epochs, then one global-magnitude 4× prune +
+/// 2-epoch fine-tune cell. The hash covers the bit pattern of every final
+/// weight and mask and the cell's metrics JSON. The constant was recorded
+/// with the original scalar kernels; a kernel rewrite that changes any
+/// accumulation order, rounding or zero-skip changes it.
+#[test]
+fn cifar_vgg_training_fingerprint_is_pinned() {
+    const PINNED: u64 = 0xa6ae_470d_13ab_80b7;
+    let config = ExperimentConfig {
+        id: "fingerprint-cifar-vgg".to_string(),
+        dataset: DatasetKind::CifarLike,
+        data_scale: 8,
+        data_seed: 1,
+        model: ModelKind::CifarVgg { base_width: 8 },
+        strategies: vec![StrategyKind::GlobalMagnitude],
+        compressions: vec![4.0],
+        seeds: vec![1],
+        pretrain: PretrainConfig {
+            epochs: 2,
+            optimizer: OptimizerKind::Adam { lr: 1e-3 },
+            batch_size: 64,
+            weights_seed: 0xA11CE,
+            patience: None,
+        },
+        finetune: FinetuneConfig {
+            epochs: 2,
+            batch_size: 64,
+            optimizer: OptimizerKind::Adam { lr: 3e-4 },
+            patience: None,
+            exclude_classifier: true,
+            ..FinetuneConfig::default()
+        },
+    };
+    let data = SyntheticVision::new(config.dataset.spec(config.data_scale, config.data_seed));
+    let (mut net, _, _) = ExperimentRunner::pretrain(&config, &data);
+    let mut rng = Rng::seed_from(0x5EED_0001);
+    let result = prune_and_finetune(
+        &mut net,
+        &GlobalMagnitude,
+        4.0,
+        &data,
+        &config.finetune,
+        &mut rng,
+    )
+    .unwrap();
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    net.visit_params_ref(&mut |p| {
+        hash = fnv1a(hash, p.name().as_bytes());
+        for v in p.value().data() {
+            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+        }
+        if let Some(mask) = p.mask() {
+            for v in mask.data() {
+                hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+            }
+        }
+    });
+    hash = fnv1a(hash, sb_json::to_string_pretty(&result).unwrap().as_bytes());
+    assert_eq!(
+        hash, PINNED,
+        "training fingerprint moved: {hash:#018x}; a kernel changed a bit"
     );
 }
