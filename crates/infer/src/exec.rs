@@ -14,17 +14,25 @@
 
 use crate::compile::CompiledModel;
 use crate::plan::{FeatureShape, Kernel, Planned, Step};
-use sb_tensor::{im2col_into, Tensor};
+use sb_tensor::{im2col_into, Im2colScratch, Tensor};
 use std::sync::Mutex;
 
 /// Per-worker scratch: activation ping-pong buffers, a residual stash,
-/// and conv im2col/row staging, all sized once for the worst-case layer.
+/// and conv staging, all sized once for the worst-case layer.
 struct Scratch {
     cur: Vec<f32>,
     tmp: Vec<f32>,
     res: Vec<f32>,
+    conv: ConvStaging,
+}
+
+/// A conv step's staging: the im2col patch rows, the kernel's output
+/// rows before the NCHW reorder, and the zero-bordered planes the unfold
+/// gathers from (grown to the largest conv on the first forward).
+struct ConvStaging {
     patch: Vec<f32>,
     rows: Vec<f32>,
+    planes: Im2colScratch,
 }
 
 impl Scratch {
@@ -33,8 +41,11 @@ impl Scratch {
             cur: vec![0.0; block * m.max_act],
             tmp: vec![0.0; block * m.max_act],
             res: vec![0.0; block * m.max_act],
-            patch: vec![0.0; block * m.max_patch],
-            rows: vec![0.0; block * m.max_rows],
+            conv: ConvStaging {
+                patch: vec![0.0; block * m.max_patch],
+                rows: vec![0.0; block * m.max_rows],
+                planes: Im2colScratch::new(),
+            },
         }
     }
 }
@@ -141,14 +152,8 @@ impl CompiledModel {
             let mut s = scratch.checkout(self);
             s.cur[..b * in_numel]
                 .copy_from_slice(&xd[s0 * in_numel..(s0 + b) * in_numel]);
-            let Scratch {
-                cur,
-                tmp,
-                res,
-                patch,
-                rows,
-            } = &mut s;
-            apply_chain(&self.steps, b, cur, tmp, res, patch, rows);
+            let Scratch { cur, tmp, res, conv } = &mut s;
+            apply_chain(&self.steps, b, cur, tmp, res, conv);
             out_block.copy_from_slice(&cur[..b * classes]);
             scratch.checkin(s);
         });
@@ -163,11 +168,10 @@ fn apply_chain(
     cur: &mut Vec<f32>,
     tmp: &mut Vec<f32>,
     res: &mut Vec<f32>,
-    patch: &mut Vec<f32>,
-    rows: &mut Vec<f32>,
+    conv: &mut ConvStaging,
 ) {
     for p in steps {
-        apply_step(p, b, cur, tmp, res, patch, rows);
+        apply_step(p, b, cur, tmp, res, conv);
     }
 }
 
@@ -177,8 +181,7 @@ fn apply_step(
     cur: &mut Vec<f32>,
     tmp: &mut Vec<f32>,
     res: &mut Vec<f32>,
-    patch: &mut Vec<f32>,
-    rows: &mut Vec<f32>,
+    conv: &mut ConvStaging,
 ) {
     match &p.step {
         Step::Relu => {
@@ -231,13 +234,17 @@ fn apply_step(
             sb_trace::add(sb_trace::CounterId::Flops, kernel.macs() * (b * spatial) as u64);
             sb_trace::add(sb_trace::CounterId::BytesMoved, kernel.param_bytes() as u64);
             let plen = geom.patch_len();
-            // The patch rows land in the preplanned scratch; `im2col_into`
-            // itself allocates only one sample's zero-bordered planes.
+            let ConvStaging {
+                patch,
+                rows,
+                planes,
+            } = conv;
             im2col_into(
                 &cur[..b * geom.in_channels * geom.in_h * geom.in_w],
                 b,
                 geom,
                 &mut patch[..b * spatial * plen],
+                planes,
             );
             matmul_rows(
                 kernel,
@@ -271,8 +278,8 @@ fn apply_step(
             // serve as the shortcut's activation buffer.
             let mut short = std::mem::take(res);
             short[..in_len].copy_from_slice(&cur[..in_len]);
-            apply_chain(main, b, cur, tmp, res, patch, rows);
-            apply_chain(shortcut, b, &mut short, tmp, res, patch, rows);
+            apply_chain(main, b, cur, tmp, res, conv);
+            apply_chain(shortcut, b, &mut short, tmp, res, conv);
             for (o, &sv) in cur[..out_len].iter_mut().zip(&short[..out_len]) {
                 *o = (*o + sv).max(0.0);
             }

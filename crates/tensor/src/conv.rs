@@ -111,15 +111,18 @@ fn out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usi
     (padded - kernel) / stride + 1
 }
 
-/// One sample's channels copied into zero-bordered planes of
-/// `(H + 2·padding_h) × (W + 2·padding_w)`, with the plane offsets of a
-/// window's taps in patch order.
+/// Reusable staging for [`im2col_into`]: one sample's channels copied
+/// into zero-bordered planes of `(H + 2·padding_h) × (W + 2·padding_w)`,
+/// with the plane offsets of a window's taps in patch order.
 ///
 /// The window of output pixel `(oy, ox)` starts at plane offset
 /// `(oy·padded_w + ox)·stride`, and its patch row is one gather through
-/// `taps`: the border holds the padding as stored zeros, so no element
-/// needs a bounds test.
-struct Padded {
+/// the taps: the border holds the padding as stored zeros, so no element
+/// needs a bounds test. The buffers grow to the largest geometry served
+/// and are reused after that, so a caller that keeps one scratch across
+/// calls allocates nothing once it has seen its largest layer.
+#[derive(Debug, Clone)]
+pub struct Im2colScratch {
     geom: Conv2dGeometry,
     padded_h: usize,
     padded_w: usize,
@@ -127,24 +130,40 @@ struct Padded {
     taps: Vec<usize>,
 }
 
-impl Padded {
-    fn new(geom: &Conv2dGeometry) -> Self {
+impl Default for Im2colScratch {
+    fn default() -> Self {
+        Im2colScratch {
+            geom: Conv2dGeometry::square(0, 0, 0, 0, 1, 0),
+            padded_h: 0,
+            padded_w: 0,
+            planes: Vec::new(),
+            taps: Vec::new(),
+        }
+    }
+}
+
+impl Im2colScratch {
+    /// An empty scratch; the first call sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Zeroed planes and the tap table for `geom`, reusing the buffers.
+    fn reset(&mut self, geom: &Conv2dGeometry) {
         let padded_h = geom.in_h + 2 * geom.padding_h;
         let padded_w = geom.in_w + 2 * geom.padding_w;
-        let mut taps = Vec::with_capacity(geom.patch_len());
+        self.taps.clear();
         for ci in 0..geom.in_channels {
             for ky in 0..geom.kernel_h {
                 let row = (ci * padded_h + ky) * padded_w;
-                taps.extend(row..row + geom.kernel_w);
+                self.taps.extend(row..row + geom.kernel_w);
             }
         }
-        Padded {
-            geom: *geom,
-            padded_h,
-            padded_w,
-            planes: vec![0.0; geom.in_channels * padded_h * padded_w],
-            taps,
-        }
+        self.planes.clear();
+        self.planes.resize(geom.in_channels * padded_h * padded_w, 0.0);
+        self.geom = *geom;
+        self.padded_h = padded_h;
+        self.padded_w = padded_w;
     }
 
     /// Plane offset where output pixel `(oy, ox)`'s window starts.
@@ -190,7 +209,7 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
         sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
             let samples = block.len() / sample_block;
             let x = &input.data()[chunk * per * image..][..samples * image];
-            im2col_into(x, samples, geom, block);
+            im2col_into(x, samples, geom, block, &mut Im2colScratch::new());
         });
     }
     Tensor::from_vec(out, &[n * oh * ow, patch]).expect("shape computed above")
@@ -198,14 +217,21 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
 
 /// The serial core of [`im2col`]: unfolds `n` contiguous `[C, H, W]`
 /// images from `x` into the `[n·out_h·out_w, C·kh·kw]` patch rows `out`,
-/// in the same element order. Every element of `out` is written, padding
-/// positions with zero, so the buffer can be reused without clearing. The
-/// only allocation is one sample's zero-bordered planes and tap table.
+/// in the same element order, staging each sample in `scratch`. Every
+/// element of `out` is written, padding positions with zero, so the
+/// buffer can be reused without clearing; `scratch` may hold anything
+/// from an earlier call, of any geometry.
 ///
 /// # Panics
 ///
 /// Panics if `x` or `out` is not exactly the size `n` and `geom` imply.
-pub fn im2col_into(x: &[f32], n: usize, geom: &Conv2dGeometry, out: &mut [f32]) {
+pub fn im2col_into(
+    x: &[f32],
+    n: usize,
+    geom: &Conv2dGeometry,
+    out: &mut [f32],
+    scratch: &mut Im2colScratch,
+) {
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let patch = geom.patch_len();
@@ -220,18 +246,18 @@ pub fn im2col_into(x: &[f32], n: usize, geom: &Conv2dGeometry, out: &mut [f32]) 
     }
     // Each sample is copied into the interior of zero-bordered planes, so
     // every patch row is one gather with no padding test.
-    let mut padded = Padded::new(geom);
+    scratch.reset(geom);
     for (ni, sample) in out.chunks_exact_mut(oh * ow * patch).enumerate() {
         for ci in 0..c {
             for iy in 0..h {
                 let src = &x[((ni * c + ci) * h + iy) * w..][..w];
-                padded.row(ci, iy).copy_from_slice(src);
+                scratch.row(ci, iy).copy_from_slice(src);
             }
         }
         for (oy, rows) in sample.chunks_exact_mut(ow * patch).enumerate() {
             for (ox, row) in rows.chunks_exact_mut(patch).enumerate() {
-                let window = &padded.planes[padded.origin(oy, ox)..];
-                for (d, &t) in row.iter_mut().zip(&padded.taps) {
+                let window = &scratch.planes[scratch.origin(oy, ox)..];
+                for (d, &t) in row.iter_mut().zip(&scratch.taps) {
                     *d = window[t];
                 }
             }
@@ -272,7 +298,8 @@ pub fn col2im(cols: &Tensor, n: usize, geom: &Conv2dGeometry) -> Tensor {
         return Tensor::from_vec(out, &[n, c, h, w]).expect("shape computed above");
     }
     sb_runtime::for_each_chunk_mut(&mut out, per * sample_block, |chunk, block| {
-        let mut padded = Padded::new(geom);
+        let mut padded = Im2colScratch::new();
+        padded.reset(geom);
         for (si, sample) in block.chunks_mut(sample_block).enumerate() {
             let rows = &data[(chunk * per + si) * oh * ow * patch..][..oh * ow * patch];
             padded.planes.fill(0.0);

@@ -41,7 +41,7 @@ mod shape;
 mod sparse;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_into, Conv2dGeometry};
+pub use conv::{col2im, im2col, im2col_into, Conv2dGeometry, Im2colScratch};
 pub use error::TensorError;
 pub use init::Rng;
 pub use shape::Shape;

@@ -3,26 +3,22 @@
 //! Three products: `a · bᵀ` ([`Tensor::matmul_transposed`], the forward
 //! pass of linear and conv layers), `a · b` ([`Tensor::matmul`], their
 //! input gradient) and `aᵀ · b` ([`Tensor::transposed_matmul`], their
-//! weight gradient). The first and last keep a block of accumulators in
-//! registers across the whole shared dimension, reading the rhs from
-//! packed, zero-padded column panels. No unsafe code and no SIMD
-//! intrinsics: the fixed-size tile loops are what the compiler vectorizes.
+//! weight gradient). No unsafe code and no SIMD intrinsics: the fixed-size
+//! tile loops are what the compiler vectorizes.
 //!
-//! - `a · bᵀ` adds every product, so it runs `MR × NR` tiles that read
-//!   `MR` lhs rows in place: each rhs load feeds `MR` rows.
-//! - `a · b` and `aᵀ · b` skip a product whose lhs factor is exactly zero.
-//!   ReLU gradients and pruned weights make these common, so both first
-//!   compress each output row's lhs factors to the nonzero ones: a zero
-//!   then costs nothing, not a masked multiply-add or a mispredicted
-//!   branch.
+//! - `a · bᵀ` adds every product, so it runs `MR × NR` register tiles that
+//!   read `MR` lhs rows in place over packed, zero-padded rhs column
+//!   panels: each rhs load feeds `MR` rows.
 //! - `aᵀ · b` has the long `N·H·W` axis as its shared dimension and a small
-//!   output. It runs `1 × W` row tiles over the nonzeros, walking that axis
-//!   in `KC`-deep chunks and running every output row over a chunk while
-//!   the chunk is in cache, so one pass over `b` serves all rows (not one
-//!   pass per row).
-//! - `a · b` has a short shared dimension (a conv's filter count), too
-//!   short to pay for a tile's set-up, so each output row takes one
-//!   vectorized pass per nonzero instead.
+//!   output. It skips every product whose lhs factor is exactly zero (ReLU
+//!   outputs and conv padding make these common) by first compressing
+//!   each output row's lhs factors to the nonzero ones, then runs `1 × W`
+//!   row tiles over them. It walks the long axis in `KC`-deep packed
+//!   chunks, running several output rows over a chunk while it is in
+//!   cache, so one pass over `b` serves a block of rows (not one row).
+//! - `a · b` streams each output row once per nonzero lhs factor in `ikj`
+//!   order. Its shared dimension is a conv's filter count, too short to
+//!   pay for a tile's set-up.
 //!
 //! # Bit-identity contract
 //!
@@ -55,6 +51,15 @@ const NR: usize = 8;
 const W: usize = 32;
 /// Depth of one packed chunk of `aᵀ · b`.
 const KC: usize = 256;
+/// Tiles to split a large `aᵀ · b` into, so even a narrow output spreads
+/// over several workers.
+const DW_TILES: usize = 4;
+/// Fewest output rows in one `aᵀ · b` tile, so each packed chunk of `b`
+/// feeds several rows.
+const DW_ROWS: usize = 4;
+/// Bytes of `b` per `aᵀ · b` phase: small enough to stay in a core's L2
+/// cache while every tile reads its part.
+const PHASE_BYTES: usize = 1 << 20;
 /// Target multiply-adds per parallel task.
 const TASK_WORK: usize = 1 << 17;
 
@@ -217,88 +222,95 @@ fn product_rows(m: usize, n: usize, k: usize, a: &[f32], b: View) -> Vec<f32> {
     out
 }
 
-/// `Σ_kk a(i, kk) · b[kk, j]` over the nonzero lhs factors only, into a
-/// new row-major `[m, n]` buffer, for the `[m, k]` view `a` and the
-/// row-major `[k, n]` rhs `b`, parallel over blocks of output rows. Each
-/// lhs row is compressed to its nonzeros first, so a zero costs neither
-/// work nor a mispredicted branch; the output row then takes one
-/// vectorized pass per nonzero. At the small `k` of a conv input gradient
-/// (its filter count) this measured faster than register tiles, whose
-/// per-panel set-up a short `k` never pays back.
-fn skip_rows(m: usize, n: usize, k: usize, a: View, b: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    if out.is_empty() || k == 0 {
-        return out;
-    }
-    let rows_per = rows_per_task(k * n, m);
-    sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
-        let mut nz = vec![(0u32, 0.0f32); k];
-        for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
-            let len = a.nonzeros(ci * rows_per + r, 0..k, &mut nz);
-            for &(kk, av) in &nz[..len] {
-                let b_row = &b[kk as usize * n..][..n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-    });
-    out
-}
-
-/// `Σ_kk a(kk, i) · b[kk, j]` over the nonzero lhs factors only, for a
-/// long shared dimension and a small output: the shape of a weight
-/// gradient. The lhs nonzeros are compressed once per output row and
-/// [`KC`]-deep chunk of `k`. Tasks own blocks of `W`-wide output
-/// *column* panels and walk `k` chunk by chunk: each chunk of `b` is packed
-/// once and then every output row runs its nonzeros over it, carrying its
-/// partial sums to the next chunk.
+/// `Σ_kk a(kk, i) · b[kk, j]` over the nonzero lhs factors only, for the
+/// `[m, k]` view `a` and the `[k, n]` view `b`, a long shared dimension
+/// and a small output: the shape of a weight gradient.
+///
+/// `k` is walked in [`KC`]-deep chunks. A first parallel pass compresses
+/// every output row's lhs factors to their nonzeros, chunk by chunk.
+/// Then tasks own tiles of output rows × `W`-wide column panels: per
+/// chunk a task packs its panels of `b` once and runs every one of its
+/// rows over them while they are in cache, carrying the partial sums to
+/// the next chunk, so one pass over `b` feeds a whole block of rows.
 fn skip_cols(m: usize, n: usize, k: usize, a: View, b: View) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     if out.is_empty() || k == 0 {
         return out;
     }
-    let chunks: Vec<Range<usize>> = (0..k).step_by(KC).map(|k0| k0..k.min(k0 + KC)).collect();
-    // Row `i`'s nonzeros in chunk `c` are `nz[ends[c·m + i − 1]..ends[c·m + i]]`.
+    // Chunk `c`'s nonzeros live in `nz[c·KC·m..]`, row `i`'s at
+    // `ends[c·m + i − 1]..ends[c·m + i]` of that region.
     let mut nz = vec![(0u32, 0.0f32); k * m];
-    let mut ends = Vec::with_capacity(chunks.len() * m);
-    let mut len = 0;
-    for ks in &chunks {
-        for i in 0..m {
-            len += a.nonzeros(i, ks.clone(), &mut nz[len..]);
-            ends.push(len);
+    // A compression task covers the lhs entries of about `TASK_WORK` of
+    // tile work: `TASK_WORK / W` of them.
+    let chunks_per = (TASK_WORK / (KC * m * W)).max(1);
+    let ends = sb_runtime::map_chunks_mut(&mut nz, chunks_per * KC * m, |ci, nz| {
+        let mut ends = Vec::with_capacity(chunks_per * m);
+        for (c, nz) in nz.chunks_mut(KC * m).enumerate() {
+            let k0 = (ci * chunks_per + c) * KC;
+            let mut len = 0;
+            for i in 0..m {
+                len += a.nonzeros(i, k0..k.min(k0 + KC), &mut nz[len..]);
+                ends.push(len);
+            }
         }
-    }
+        ends
+    })
+    .concat();
+    // Column panels split first, since they share nothing. A narrow
+    // output has too few, so its rows split as well, each row block
+    // packing its own copy of its panels.
     let nb = n.div_ceil(W);
-    let blocks_per = (TASK_WORK / (k * m * W)).clamp(1, nb);
-    let strips = sb_runtime::map_chunks(nb, blocks_per, |jbs| {
+    let tiles = (k * m * n / TASK_WORK).clamp(1, DW_TILES);
+    let panels_per = (nb / tiles).max(1);
+    let col_tiles = nb.div_ceil(panels_per);
+    let rows_per = m.div_ceil(tiles.div_ceil(col_tiles)).max(DW_ROWS);
+    let tile = |t: usize| {
+        let (rb, cb) = (t / col_tiles, t % col_tiles);
+        let jbs = cb * panels_per..nb.min((cb + 1) * panels_per);
         let cols = jbs.start * W..n.min(jbs.end * W);
-        let b = View {
-            data: &b.data[cols.start * b.row_stride..],
-            ..b
-        };
-        let mut acc = vec![[0.0f32; W]; m * jbs.len()];
-        let mut bp = vec![[0.0f32; W]; jbs.len() * KC];
-        let mut start = 0;
-        for (ks, ends) in chunks.iter().zip(ends.chunks_exact(m)) {
-            let kc = ks.len();
-            let bp = &mut bp[..jbs.len() * kc];
-            b.pack_panels(cols.len(), ks.clone(), bp);
-            // Each panel stays in L1 while every output row runs over it.
-            for (t, panel) in bp.chunks_exact(kc).enumerate() {
-                let mut lo = start;
-                for (i, &hi) in ends.iter().enumerate() {
-                    row_tile(&nz[lo..hi], panel, &mut acc[i * jbs.len() + t]);
-                    lo = hi;
+        (rb * rows_per..m.min((rb + 1) * rows_per), jbs.len(), cols)
+    };
+    let mut accs: Vec<Vec<[f32; W]>> = (0..m.div_ceil(rows_per) * col_tiles)
+        .map(|t| {
+            let (rows, np, _) = tile(t);
+            vec![[0.0f32; W]; rows.len() * np]
+        })
+        .collect();
+    // Tiles sharing columns read the same slice of `b`: walking `k` in
+    // phases of about `PHASE_BYTES` of it, one parallel pass each, lets
+    // them find it still in cache.
+    let phase = (PHASE_BYTES / (4 * n)).div_ceil(KC).max(1);
+    for c0 in (0..k.div_ceil(KC)).step_by(phase) {
+        sb_runtime::for_each_chunk_mut(&mut accs, 1, |t, acc| {
+            let acc = &mut acc[0];
+            let (rows, np, cols) = tile(t);
+            let b = View {
+                data: &b.data[cols.start * b.row_stride..],
+                ..b
+            };
+            let mut bp = vec![[0.0f32; W]; np * KC];
+            for (c, ends) in ends.chunks_exact(m).enumerate().skip(c0).take(phase) {
+                let ks = c * KC..k.min((c + 1) * KC);
+                let nz = &nz[c * KC * m..];
+                let bp = &mut bp[..np * ks.len()];
+                b.pack_panels(cols.len(), ks.clone(), bp);
+                // Each panel stays in L1 while every row of the tile runs
+                // over it.
+                for (p, panel) in bp.chunks_exact(ks.len()).enumerate() {
+                    let mut lo = if rows.start == 0 { 0 } else { ends[rows.start - 1] };
+                    for (r, &hi) in ends[rows.clone()].iter().enumerate() {
+                        row_tile(&nz[lo..hi], panel, &mut acc[r * np + p]);
+                        lo = hi;
+                    }
                 }
             }
-            start = ends[m - 1];
-        }
-        (cols, acc)
-    });
-    for (cols, acc) in strips {
-        for (out_row, row) in out.chunks_exact_mut(n).zip(acc.chunks_exact(acc.len() / m)) {
-            for (o, &v) in out_row[cols.clone()].iter_mut().zip(row.iter().flatten()) {
+        });
+    }
+    for (t, acc) in accs.iter().enumerate() {
+        let (rows, np, cols) = tile(t);
+        for (i, row) in rows.zip(acc.chunks_exact(np)) {
+            let lanes = row.iter().flatten();
+            for (o, &v) in out[i * n..][cols.clone()].iter_mut().zip(lanes) {
                 *o = v;
             }
         }
@@ -323,12 +335,31 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let a = View {
-            data: self.data(),
-            row_stride: k,
-            k_stride: 1,
-        };
-        let out = skip_rows(m, n, k, a, rhs.data());
+        let mut out = vec![0.0f32; m * n];
+        if out.is_empty() {
+            return Tensor::from_vec(out, &[m, n]).expect("shape computed above");
+        }
+        let a = self.data();
+        let b = rhs.data();
+        let rows_per = rows_per_task(k * n, m);
+        // ikj order: the innermost loop walks both `b` and `out` rows
+        // contiguously.
+        sb_runtime::for_each_chunk_mut(&mut out, rows_per * n, |ci, block| {
+            let row0 = ci * rows_per;
+            for (r, out_row) in block.chunks_mut(n).enumerate() {
+                let i = row0 + r;
+                for kk in 0..k {
+                    let aik = a[i * k + kk];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let b_row = &b[kk * n..(kk + 1) * n];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += aik * bv;
+                    }
+                }
+            }
+        });
         Tensor::from_vec(out, &[m, n]).expect("shape computed above")
     }
 

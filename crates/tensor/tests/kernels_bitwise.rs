@@ -10,7 +10,7 @@
 //! Every failure message carries an `SB_CHECK_SEED` that replays the case.
 
 use sb_check::{check, prop_assert, Config, Rng};
-use sb_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Tensor};
+use sb_tensor::{col2im, im2col, im2col_into, Conv2dGeometry, Im2colScratch, Tensor};
 
 /// Pinned suite seed.
 const SUITE: u64 = 0x7E45_0010;
@@ -288,9 +288,15 @@ fn im2col_and_col2im_match_reference_bitwise() {
             let want = bits(&ref_im2col(&x, n, &g));
             let tx = Tensor::from_vec(x.clone(), &[n, g.in_channels, g.in_h, g.in_w]).unwrap();
             prop_assert!(bits(im2col(&tx, &g).data()) == want);
-            // The serial core overwrites every element, padding included.
+            // The serial core overwrites every element, padding included,
+            // from a scratch left dirty by a wider, unpadded geometry.
+            let mut scratch = Im2colScratch::new();
+            let wide = Conv2dGeometry::square(g.in_channels + 1, g.in_h + 4, g.in_w + 4, 1, 1, 0);
+            let mut wide_out = vec![0.0; (g.in_h + 4) * (g.in_w + 4) * wide.patch_len()];
+            let ones = vec![1.0; wide_out.len()];
+            im2col_into(&ones, 1, &wide, &mut wide_out, &mut scratch);
             let mut into = vec![f32::NAN; cols.len()];
-            im2col_into(&x, n, &g, &mut into);
+            im2col_into(&x, n, &g, &mut into, &mut scratch);
             prop_assert!(bits(&into) == want);
             let tc = Tensor::from_vec(cols.clone(), &[rows, g.patch_len()]).unwrap();
             prop_assert!(bits(col2im(&tc, n, &g).data()) == bits(&ref_col2im(&cols, n, &g)));
@@ -301,7 +307,9 @@ fn im2col_and_col2im_match_reference_bitwise() {
 
 /// Every kernel on shapes large enough to split into several parallel
 /// tasks (the CIFAR-VGG `stage1.conv2` products at batch 32) gives the
-/// same bytes on one runtime thread and on four.
+/// same bytes on one runtime thread and on four. The weight gradient here
+/// also spans several row blocks, column tiles (one of them ragged) and
+/// cache phases, so it is checked against its reference as well.
 #[test]
 fn kernels_are_byte_identical_at_one_and_four_threads() {
     let mut rng = Rng::seed_from(SUITE);
@@ -334,5 +342,9 @@ fn kernels_are_byte_identical_at_one_and_four_threads() {
         sb_runtime::set_thread_override(None);
         outs.iter().map(|t| bits(t.data())).collect::<Vec<_>>()
     };
-    assert_eq!(run(1), run(4), "thread count changed a kernel's bytes");
+    let one = run(1);
+    assert_eq!(one, run(4), "thread count changed a kernel's bytes");
+    let cols = im2col(&x, &g);
+    let want = ref_transposed_matmul(dy.data(), cols.data(), rows, filters, g.patch_len());
+    assert!(one[1] == bits(&want), "weight gradient differs from its reference");
 }
