@@ -51,15 +51,12 @@ const NR: usize = 8;
 const W: usize = 32;
 /// Depth of one packed chunk of `aᵀ · b`.
 const KC: usize = 256;
-/// Tiles to split a large `aᵀ · b` into, so even a narrow output spreads
-/// over several workers.
+/// Most tiles a large `aᵀ · b` splits into, so even a narrow output
+/// spreads over several workers.
 const DW_TILES: usize = 4;
 /// Fewest output rows in one `aᵀ · b` tile, so each packed chunk of `b`
 /// feeds several rows.
 const DW_ROWS: usize = 4;
-/// Bytes of `b` per `aᵀ · b` phase: small enough to stay in a core's L2
-/// cache while every tile reads its part.
-const PHASE_BYTES: usize = 1 << 20;
 /// Target multiply-adds per parallel task.
 const TASK_WORK: usize = 1 << 17;
 
@@ -226,86 +223,65 @@ fn product_rows(m: usize, n: usize, k: usize, a: &[f32], b: View) -> Vec<f32> {
 /// `[m, k]` view `a` and the `[k, n]` view `b`, a long shared dimension
 /// and a small output: the shape of a weight gradient.
 ///
-/// `k` is walked in [`KC`]-deep chunks. A first parallel pass compresses
-/// every output row's lhs factors to their nonzeros, chunk by chunk.
-/// Then tasks own tiles of output rows × `W`-wide column panels: per
-/// chunk a task packs its panels of `b` once and runs every one of its
-/// rows over them while they are in cache, carrying the partial sums to
-/// the next chunk, so one pass over `b` feeds a whole block of rows.
+/// Tasks own tiles of output rows × `W`-wide column panels, all started
+/// by one parallel pass. Each walks `k` in [`KC`]-deep chunks: it
+/// compresses its rows' lhs factors in the chunk to their nonzeros, packs
+/// its panels of `b` once, and runs every one of its rows over them while
+/// they are in cache, carrying the partial sums to the next chunk, so one
+/// pass over `b` feeds a whole block of rows.
 fn skip_cols(m: usize, n: usize, k: usize, a: View, b: View) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     if out.is_empty() || k == 0 {
         return out;
     }
-    // Chunk `c`'s nonzeros live in `nz[c·KC·m..]`, row `i`'s at
-    // `ends[c·m + i − 1]..ends[c·m + i]` of that region.
-    let mut nz = vec![(0u32, 0.0f32); k * m];
-    // A compression task covers the lhs entries of about `TASK_WORK` of
-    // tile work: `TASK_WORK / W` of them.
-    let chunks_per = (TASK_WORK / (KC * m * W)).max(1);
-    let ends = sb_runtime::map_chunks_mut(&mut nz, chunks_per * KC * m, |ci, nz| {
-        let mut ends = Vec::with_capacity(chunks_per * m);
-        for (c, nz) in nz.chunks_mut(KC * m).enumerate() {
-            let k0 = (ci * chunks_per + c) * KC;
-            let mut len = 0;
-            for i in 0..m {
-                len += a.nonzeros(i, k0..k.min(k0 + KC), &mut nz[len..]);
-                ends.push(len);
-            }
-        }
-        ends
-    })
-    .concat();
-    // Column panels split first, since they share nothing. A narrow
-    // output has too few, so its rows split as well, each row block
-    // packing its own copy of its panels.
+    // Column panels split first: each tile then reads only its own
+    // columns of `b`. A narrow output has too few, so its rows split as
+    // well, each row block reading its panels of `b` again.
     let nb = n.div_ceil(W);
     let tiles = (k * m * n / TASK_WORK).clamp(1, DW_TILES);
-    let panels_per = (nb / tiles).max(1);
+    let panels_per = nb.div_ceil(tiles);
     let col_tiles = nb.div_ceil(panels_per);
-    let rows_per = m.div_ceil(tiles.div_ceil(col_tiles)).max(DW_ROWS);
+    let rows_per = m.div_ceil((tiles / col_tiles).max(1)).max(DW_ROWS);
+    let row_blocks = m.div_ceil(rows_per);
+    // Row blocks of one column tile are neighbours in task order, so the
+    // workers that take them together stream the same columns of `b`.
     let tile = |t: usize| {
-        let (rb, cb) = (t / col_tiles, t % col_tiles);
+        let (rb, cb) = (t % row_blocks, t / row_blocks);
         let jbs = cb * panels_per..nb.min((cb + 1) * panels_per);
         let cols = jbs.start * W..n.min(jbs.end * W);
         (rb * rows_per..m.min((rb + 1) * rows_per), jbs.len(), cols)
     };
-    let mut accs: Vec<Vec<[f32; W]>> = (0..m.div_ceil(rows_per) * col_tiles)
-        .map(|t| {
-            let (rows, np, _) = tile(t);
-            vec![[0.0f32; W]; rows.len() * np]
-        })
-        .collect();
-    // Tiles sharing columns read the same slice of `b`: walking `k` in
-    // phases of about `PHASE_BYTES` of it, one parallel pass each, lets
-    // them find it still in cache.
-    let phase = (PHASE_BYTES / (4 * n)).div_ceil(KC).max(1);
-    for c0 in (0..k.div_ceil(KC)).step_by(phase) {
-        sb_runtime::for_each_chunk_mut(&mut accs, 1, |t, acc| {
-            let acc = &mut acc[0];
-            let (rows, np, cols) = tile(t);
-            let b = View {
-                data: &b.data[cols.start * b.row_stride..],
-                ..b
-            };
-            let mut bp = vec![[0.0f32; W]; np * KC];
-            for (c, ends) in ends.chunks_exact(m).enumerate().skip(c0).take(phase) {
-                let ks = c * KC..k.min((c + 1) * KC);
-                let nz = &nz[c * KC * m..];
-                let bp = &mut bp[..np * ks.len()];
-                b.pack_panels(cols.len(), ks.clone(), bp);
-                // Each panel stays in L1 while every row of the tile runs
-                // over it.
-                for (p, panel) in bp.chunks_exact(ks.len()).enumerate() {
-                    let mut lo = if rows.start == 0 { 0 } else { ends[rows.start - 1] };
-                    for (r, &hi) in ends[rows.clone()].iter().enumerate() {
-                        row_tile(&nz[lo..hi], panel, &mut acc[r * np + p]);
-                        lo = hi;
-                    }
+    let accs = sb_runtime::map_chunks(row_blocks * col_tiles, 1, |t| {
+        let (rows, np, cols) = tile(t.start);
+        let b = View {
+            data: &b.data[cols.start * b.row_stride..],
+            ..b
+        };
+        let mut acc = vec![[0.0f32; W]; rows.len() * np];
+        let mut bp = vec![[0.0f32; W]; np * KC];
+        let mut nz = vec![(0u32, 0.0f32); rows.len() * KC];
+        let mut ends = vec![0usize; rows.len()];
+        for k0 in (0..k).step_by(KC) {
+            let ks = k0..k.min(k0 + KC);
+            let mut len = 0;
+            for (end, i) in ends.iter_mut().zip(rows.clone()) {
+                len += a.nonzeros(i, ks.clone(), &mut nz[len..]);
+                *end = len;
+            }
+            let bp = &mut bp[..np * ks.len()];
+            b.pack_panels(cols.len(), ks.clone(), bp);
+            // Each panel stays in L1 while every row of the tile runs
+            // over it.
+            for (p, panel) in bp.chunks_exact(ks.len()).enumerate() {
+                let mut lo = 0;
+                for (r, &hi) in ends.iter().enumerate() {
+                    row_tile(&nz[lo..hi], panel, &mut acc[r * np + p]);
+                    lo = hi;
                 }
             }
-        });
-    }
+        }
+        acc
+    });
     for (t, acc) in accs.iter().enumerate() {
         let (rows, np, cols) = tile(t);
         for (i, row) in rows.zip(acc.chunks_exact(np)) {

@@ -307,9 +307,10 @@ fn im2col_and_col2im_match_reference_bitwise() {
 
 /// Every kernel on shapes large enough to split into several parallel
 /// tasks (the CIFAR-VGG `stage1.conv2` products at batch 32) gives the
-/// same bytes on one runtime thread and on four. The weight gradient here
-/// also spans several row blocks, column tiles (one of them ragged) and
-/// cache phases, so it is checked against its reference as well.
+/// same bytes on one runtime thread and on four. The weight gradients
+/// here span several column tiles (one of them ragged), and, with a
+/// narrow 27-wide rhs, several row blocks, all over many depth chunks, so
+/// they are checked against their references as well.
 #[test]
 fn kernels_are_byte_identical_at_one_and_four_threads() {
     let mut rng = Rng::seed_from(SUITE);
@@ -329,6 +330,13 @@ fn kernels_are_byte_identical_at_one_and_four_threads() {
     )
     .unwrap();
     let dy = Tensor::from_vec(sparse_values(&mut rng, rows * filters), &[rows, filters]).unwrap();
+    // Finite: over this many depths a rare infinity would turn every
+    // output into ±inf or NaN, hiding which rows were summed.
+    let narrow = Tensor::from_vec(
+        (0..rows * 27).map(|_| rng.uniform(-1.0, 1.0)).collect(),
+        &[rows, 27],
+    )
+    .unwrap();
     let run = |threads: usize| {
         sb_runtime::set_thread_override(Some(threads));
         let cols = im2col(&x, &g);
@@ -338,6 +346,7 @@ fn kernels_are_byte_identical_at_one_and_four_threads() {
             dy.matmul(&w),
             col2im(&dy.matmul(&w), n, &g),
             cols.clone(),
+            dy.transposed_matmul(&narrow),
         ];
         sb_runtime::set_thread_override(None);
         outs.iter().map(|t| bits(t.data())).collect::<Vec<_>>()
@@ -347,4 +356,6 @@ fn kernels_are_byte_identical_at_one_and_four_threads() {
     let cols = im2col(&x, &g);
     let want = ref_transposed_matmul(dy.data(), cols.data(), rows, filters, g.patch_len());
     assert!(one[1] == bits(&want), "weight gradient differs from its reference");
+    let want = ref_transposed_matmul(dy.data(), narrow.data(), rows, filters, 27);
+    assert!(one[5] == bits(&want), "narrow weight gradient differs from its reference");
 }
